@@ -1,8 +1,7 @@
 //! Perf-regression gate: compares run manifests against the committed
 //! `BENCH_BASELINE.json` and exits non-zero when any tracked quantity
 //! (wall seconds, per-span totals, cache hit rate) regressed beyond
-//! tolerance. Native twin of `scripts/perf_gate.py` (same thresholds,
-//! same exit codes) for environments with a warm cargo cache.
+//! tolerance.
 //!
 //! ```text
 //! cargo run -p dcn-bench --bin perf_gate -- [options] [manifest.json ...]

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Shared harness support for the experiment binaries.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the paper
@@ -21,10 +20,8 @@
 //! Chrome `trace_event` JSON file at manifest time — see DESIGN.md §12.
 //! Passing `--baseline` to any experiment binary folds the run's summary
 //! (wall seconds, cache hit rate, per-span totals) into the committed
-//! `BENCH_BASELINE.json`, which `--bin perf_gate` and
-//! `scripts/perf_gate.py` later compare fresh manifests against.
-
-#![warn(missing_docs)]
+//! `BENCH_BASELINE.json`, which `--bin perf_gate` later compares fresh
+//! manifests against.
 
 pub mod fleet;
 pub mod perf;
@@ -83,9 +80,12 @@ pub fn results_dir() -> Result<PathBuf, ResultsDirError> {
     Ok(dir)
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "wall-clock anchor for human-facing progress lines only; never feeds solver results"
+)]
 fn process_start() -> Instant {
     static START: OnceLock<Instant> = OnceLock::new();
-    // dcn-lint: allow(nondeterminism) — wall-clock anchor for human-facing progress lines only; never feeds solver results
     *START.get_or_init(Instant::now)
 }
 

@@ -5,9 +5,9 @@
 //! The baseline is written by running an experiment binary with
 //! `--baseline` (see [`crate::baseline_mode`]): the harness folds the
 //! run's manifest into the baseline file. The gate
-//! (`cargo run -p dcn-bench --bin perf_gate`, or `scripts/perf_gate.py`
-//! for CI without a cargo cache) then compares later manifests against it
-//! and fails when any tracked quantity regresses beyond tolerance.
+//! (`cargo run -p dcn-bench --bin perf_gate`) then compares later
+//! manifests against it and fails when any tracked quantity regresses
+//! beyond tolerance.
 //!
 //! Only quantities large enough to be meaningfully measurable are gated:
 //! spans (and walls) below [`GateConfig::min_seconds`] in the *baseline*

@@ -8,6 +8,11 @@
 //! test (experiment binaries use their own `--worker` flag instead, but
 //! a libtest harness cannot accept unknown flags).
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the test drives the fleet binaries as child processes"
+)]
+
 use dcn_cache::prelude::*;
 use dcn_core::frontier::{
     frontier_max_servers, frontier_sweep, Criterion, Family, FrontierConfig,

@@ -6,6 +6,11 @@
 //! with an env gate), because a panic hook is process-global state and
 //! the child's job is to die.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the test runs an experiment binary as a child process"
+)]
+
 use std::path::PathBuf;
 use std::process::Command;
 

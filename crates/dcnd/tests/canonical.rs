@@ -272,3 +272,24 @@ fn malformed_queries_get_typed_errors() {
         assert_eq!(status(&r), "error");
     }
 }
+
+#[test]
+fn deeply_nested_line_gets_an_error_and_serving_carries_on() {
+    let _guard = counters();
+    let daemon = Daemon::with_cache(config(), CacheHandle::in_memory(1 << 20));
+    // Nesting far past the JSON depth limit once overflowed the parser's
+    // stack and aborted the daemon; it must be one more malformed line.
+    let input = format!(
+        "{}\n{}\n",
+        "[".repeat(200_000),
+        r#"{"id":3,"topology":{"family":"fat_tree","k":4},"estimator":"singla"}"#
+    );
+    let mut out = Vec::new();
+    daemon.serve(input.as_bytes(), &mut out).unwrap();
+    let out = String::from_utf8(out).unwrap();
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), 2, "{out}");
+    assert_eq!(status(lines[0]), "error");
+    assert!(lines[0].contains("nesting deeper than"), "{}", lines[0]);
+    assert_eq!(status(lines[1]), "ok");
+}

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! `dcn-exec`: a deterministic parallel fan-out engine.
 //!
 //! The paper's evaluation is dominated by embarrassingly-parallel sweeps —
@@ -57,8 +56,6 @@
 //!     .unwrap();
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
-
-#![warn(missing_docs)]
 
 use dcn_guard::{Budget, BudgetError};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -134,6 +131,10 @@ impl Pool {
     ///     .unwrap_err();
     /// assert_eq!(err, BudgetError::IterationsExceeded { cap: 2 });
     /// ```
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the pool is the one sanctioned thread spawner and times its workers' busy spans"
+    )]
     pub fn par_map<I, T, E, F>(&self, budget: &Budget, items: &[I], f: F) -> Result<Vec<T>, E>
     where
         I: Sync,
@@ -264,6 +265,10 @@ impl Pool {
     /// The single-worker path: a plain in-order loop with the same budget
     /// checkpoints as the parallel path, so `DCN_EXEC_THREADS=1` exercises
     /// identical semantics without spawning.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "pool busy-time histogram; observability-only, never feeds results"
+    )]
     fn serial_map<I, T, E, F>(&self, budget: &Budget, items: &[I], f: F) -> Result<Vec<T>, E>
     where
         E: From<BudgetError>,

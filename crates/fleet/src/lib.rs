@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! dcn-fleet: crash-tolerant multi-process sweep execution.
 //!
 //! [`dcn_exec::Pool::par_map`] fans a sweep out across threads inside one
@@ -38,8 +37,6 @@
 //! recomputes. Every cached computation in this workspace is
 //! deterministic in its payload, so last-writer-wins renames always
 //! converge on identical bytes.
-
-#![warn(missing_docs)]
 
 mod queue;
 mod supervisor;
@@ -105,10 +102,13 @@ impl From<dcn_guard::BudgetError> for FleetError {
 
 /// Builds the `<exe> --worker <root>` invocation under which experiment
 /// binaries re-enter themselves as fleet workers. Lives here (not in the
-/// caller) because process spawning is confined to this crate — the
-/// lint's nondeterminism rule keeps ad-hoc `Command` fan-out out of
-/// every other crate, the same way thread spawning is confined to
-/// `dcn-exec`.
+/// caller) because process spawning is confined to this crate — clippy's
+/// `disallowed_methods` keeps ad-hoc `Command` fan-out out of every other
+/// crate, the same way thread spawning is confined to `dcn-exec`.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the fleet is the one sanctioned process spawner"
+)]
 pub fn worker_command(exe: &Path, root: &Path) -> std::process::Command {
     let mut cmd = std::process::Command::new(exe);
     cmd.arg("--worker").arg(root);

@@ -46,7 +46,7 @@ pub struct WorkUnit {
 /// Ids become file names and are parsed back out of `<id>.<pid>.json`
 /// claim names, so they are restricted to `[A-Za-z0-9_-]` (no dots, no
 /// separators). Cache-key hex ids satisfy this trivially.
-pub fn id_is_filename_safe(id: &str) -> bool {
+pub(crate) fn id_is_filename_safe(id: &str) -> bool {
     !id.is_empty()
         && id
             .chars()

@@ -133,6 +133,10 @@ fn kill_all(children: &mut Vec<(u32, Child)>) {
 /// per-unit outcomes back in input order. See the module docs for the
 /// full lifecycle; `budget` bounds the whole supervision loop (checked
 /// every poll) and caps the per-claim lease.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "worker leases and retry backoff run on real wall time"
+)]
 pub fn run_fleet(
     cfg: &FleetConfig,
     units: &[WorkUnit],

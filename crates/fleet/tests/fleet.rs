@@ -5,6 +5,11 @@
 //! variable — the gated entry test runs the worker loop in the child and
 //! returns immediately (skipping itself) in the normal suite.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the test runs fleet workers as child processes"
+)]
+
 use dcn_fleet::{run_fleet, worker_main, FleetConfig, UnitOutcome, WorkUnit};
 use dcn_guard::Budget;
 use dcn_obs::json::Json;

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Graph substrate for the `dcn` workspace.
 //!
 //! Datacenter topologies at the switch level are sparse undirected
@@ -19,7 +18,9 @@
 //! matrices use `u16` entries so that all-pairs distances for 20K-switch
 //! topologies stay within a few hundred MB.
 
-#![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 pub mod csr;
 pub mod dist;

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! `dcn-guard`: budgeted, panic-free solver execution.
 //!
 //! The iterative kernels of this workspace — the two-phase simplex, the
@@ -40,8 +39,6 @@
 //! assert_eq!(spins, 100);
 //! assert!(matches!(err, BudgetError::IterationsExceeded { cap: 100, .. }));
 //! ```
-
-#![warn(missing_docs)]
 
 pub mod adversarial;
 pub mod lease;
@@ -168,6 +165,10 @@ impl Budget {
     }
 
     /// Adds a wall-clock limit of `wall` from *now*.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "budget deadlines are the guard's job"
+    )]
     pub fn with_wall(mut self, wall: Duration) -> Self {
         self.wall = Some(wall);
         self.deadline = Instant::now().checked_add(wall);
@@ -192,6 +193,10 @@ impl Budget {
     }
 
     /// Wall-clock time remaining, if a deadline is set. Zero once expired.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "budget deadlines are the guard's job"
+    )]
     pub fn remaining_wall(&self) -> Option<Duration> {
         self.deadline
             .map(|d| d.saturating_duration_since(Instant::now()))
@@ -300,6 +305,10 @@ impl BudgetMeter<'_> {
 
     /// Forces a deadline + cancellation check regardless of stride. Useful
     /// right before starting an expensive indivisible step.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "budget deadlines are the guard's job"
+    )]
     pub fn checkpoint(&self) -> Result<(), BudgetError> {
         if let Some(deadline) = self.budget.deadline {
             if Instant::now() >= deadline {

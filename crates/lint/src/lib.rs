@@ -1,15 +1,17 @@
-#![forbid(unsafe_code)]
 //! dcn-lint: a self-contained static-analysis pass over the workspace's
 //! own Rust sources.
 //!
-//! The linter enforces the invariants that keep the TUB pipeline honest:
-//! solver code is panic-free, every unbounded loop answers to a
-//! [`Budget`](../dcn_guard/struct.Budget.html), float comparisons go
-//! through tolerance helpers, metric names live in one registry, locks
-//! are acquired in one declared order and never held across blocking
-//! calls, atomics spell out their memory orderings, and every `DCN_*`
-//! environment knob is registered in `dcn_guard::env` and mirrored in
-//! the README.
+//! The linter enforces the invariants that keep the TUB pipeline honest
+//! and that no stock rustc/clippy lint expresses: every unbounded loop
+//! answers to a [`Budget`](../dcn_guard/struct.Budget.html), float
+//! comparisons go through tolerance helpers, metric names live in one
+//! registry, locks are acquired in one declared order and never held
+//! across blocking calls, atomics spell out their memory orderings, and
+//! every `DCN_*` environment knob is registered in `dcn_guard::env` and
+//! mirrored in the README. Panic-freedom, the clock/thread/process
+//! confinement, `unsafe` and doc coverage are stock lints configured in
+//! the root `Cargo.toml` and `clippy.toml`; dcn-lint's `workspace-lints`
+//! rule checks that every crate manifest inherits them.
 //!
 //! It deliberately has **zero external dependencies** and no real Rust
 //! parser: a lossy scanner ([`scan`]) masks comments and string contents
@@ -18,7 +20,8 @@
 //! workspace symbol [`index`] (each file parsed exactly once), pass 2
 //! fans the per-file rules out over a `dcn_exec::Pool` — diagnostics are
 //! merged in input order, so the report is byte-identical at any
-//! `DCN_EXEC_THREADS` — and runs the cross-file registry rules serially.
+//! `DCN_EXEC_THREADS` — and runs the cross-file registry and manifest
+//! rules serially.
 //! The trade-offs of the lossy scan are documented in DESIGN.md §9/§14.
 
 pub mod index;
@@ -27,7 +30,7 @@ pub mod scan;
 
 use dcn_guard::{Budget, BudgetError};
 use index::WorkspaceIndex;
-use rules::{Diagnostic, Severity};
+use rules::Diagnostic;
 use scan::SourceFile;
 use std::path::{Path, PathBuf};
 
@@ -42,11 +45,9 @@ pub struct Report {
 }
 
 impl Report {
-    /// True when any error-severity diagnostic survived.
+    /// True when any diagnostic survived (every rule is an error).
     pub fn has_errors(&self) -> bool {
-        self.diagnostics
-            .iter()
-            .any(|d| d.severity == Severity::Error)
+        !self.diagnostics.is_empty()
     }
 }
 
@@ -98,6 +99,31 @@ impl From<BudgetError> for ScanError {
     }
 }
 
+/// `(path, text)` of each manifest the `workspace-lints` rule checks: the
+/// root package (when the root manifest declares one) and every
+/// `crates/*/Cargo.toml`, in path order.
+fn member_manifests(root: &Path) -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    if let Ok(text) = std::fs::read_to_string(root.join("Cargo.toml")) {
+        if text.lines().any(|l| l.trim() == "[package]") {
+            out.push(("Cargo.toml".to_string(), text));
+        }
+    }
+    let mut crates: Vec<String> = std::fs::read_dir(root.join("crates"))
+        .into_iter()
+        .flatten()
+        .flatten()
+        .map(|e| format!("crates/{}/Cargo.toml", e.file_name().to_string_lossy()))
+        .collect();
+    crates.sort();
+    for rel in crates {
+        if let Ok(text) = std::fs::read_to_string(root.join(&rel)) {
+            out.push((rel, text));
+        }
+    }
+    out
+}
+
 /// Reads and scans every source under `root`, in parallel, results in
 /// path order.
 fn scan_sources(
@@ -144,7 +170,12 @@ pub fn lint_root(root: &Path) -> std::io::Result<Report> {
         .map_err(budget_io)?;
     let mut raw: Vec<Diagnostic> = raw.into_iter().flatten().collect();
     let readme = std::fs::read_to_string(root.join("README.md")).ok();
-    raw.extend(rules::cross_file_diags(&files, &index, readme.as_deref()));
+    raw.extend(rules::cross_file_diags(
+        &files,
+        &index,
+        readme.as_deref(),
+        &member_manifests(root),
+    ));
     let outcome = rules::finish(&files, raw);
     Ok(Report {
         diagnostics: outcome.diagnostics,

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! A small, dependency-free linear-programming solver.
 //!
 //! The paper solves path-based multi-commodity flow LPs with Gurobi; no
@@ -24,7 +23,9 @@
 //! assert!((sol.objective - 10.0).abs() < 1e-9); // x=2, y=2
 //! ```
 
-#![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 mod simplex;
 
@@ -275,7 +276,10 @@ impl LinearProgram {
 mod tests {
     use super::*;
 
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "test helper taking constraint rows as plain tuples"
+    )]
     fn solve3(
         n: usize,
         obj: &[(usize, f64)],

@@ -568,6 +568,11 @@ fn standard_form(lp: &LinearProgram) -> StandardForm {
 
 impl StandardForm {
     /// Maps a tableau column index back to its semantic [`BasisVar`].
+    #[expect(
+        clippy::expect_used,
+        reason = "standard_form places one slack per pre-artificial non-decision column and \
+                  one artificial column per row past art_start"
+    )]
     fn semantic(&self, col: usize) -> BasisVar {
         if col < self.n {
             return BasisVar::Decision(col);
@@ -577,7 +582,6 @@ impl StandardForm {
                 .slack_col
                 .iter()
                 .position(|&s| s == Some(col))
-                // dcn-lint: allow(panic-freedom) — every non-decision, pre-artificial column is a slack placed by standard_form
                 .expect("slack column owned by some row");
             return BasisVar::Slack(r);
         }
@@ -585,7 +589,6 @@ impl StandardForm {
             .id_col
             .iter()
             .position(|&c| c == col)
-            // dcn-lint: allow(panic-freedom) — artificial columns past art_start are placed one per row by standard_form
             .expect("artificial column owned by some row");
         BasisVar::Artificial(r)
     }

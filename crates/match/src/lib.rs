@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Maximum-weight perfect matching on implicit complete bipartite graphs.
 //!
 //! The paper's throughput upper bound (Equation 1) is minimized by the
@@ -17,7 +16,9 @@
 //!   bound in Equation 1, so this is the scalable fallback.
 //! * [`improve_2swap`] — local-search improvement for the greedy result.
 
-#![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 use dcn_guard::{Budget, BudgetError};
 
@@ -355,7 +356,10 @@ pub fn greedy_max(n: usize, w: impl Fn(usize, usize) -> i64) -> Matching {
             continue;
         }
         let mut best: Option<(usize, i64)> = None;
-        #[allow(clippy::needless_range_loop)]
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "v indexes `matched` and is also an argument of the weight function"
+        )]
         for v in 0..n {
             if v != u && !matched[v] {
                 let wt = w(u, v);
@@ -492,7 +496,10 @@ mod tests {
             let n = rng.gen_range(2..=16);
             // Symmetric weights (distances).
             let mut mat = vec![vec![0i64; n]; n];
-            #[allow(clippy::needless_range_loop)]
+            #[expect(
+                clippy::needless_range_loop,
+                reason = "the (i, j) pair fills a symmetric matrix from both sides"
+            )]
             for i in 0..n {
                 for j in (i + 1)..n {
                     let d = rng.gen_range(1..10);
@@ -532,7 +539,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let n = 14;
         let mut mat = vec![vec![0i64; n]; n];
-        #[allow(clippy::needless_range_loop)]
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "the (i, j) pair skips the diagonal of a square matrix"
+        )]
         for i in 0..n {
             for j in 0..n {
                 if i != j {
@@ -571,7 +581,10 @@ mod tests {
             let n = rng.gen_range(2..=12);
             // Symmetric base weights (distances).
             let mut mat = vec![vec![0i64; n]; n];
-            #[allow(clippy::needless_range_loop)]
+            #[expect(
+                clippy::needless_range_loop,
+                reason = "the (i, j) pair fills a symmetric matrix from both sides"
+            )]
             for i in 0..n {
                 for j in (i + 1)..n {
                     let d = rng.gen_range(1..40);

@@ -42,6 +42,13 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth would let one hostile
+/// line (a query, a cache record) overflow the stack and abort the
+/// process; deeper input is refused with a [`JsonError`] instead. The
+/// workspace's own documents nest fewer than ten levels.
+const MAX_DEPTH: usize = 128;
+
 impl Json {
     /// Builds an object from key/value pairs.
     pub fn obj(pairs: impl IntoIterator<Item = (impl Into<String>, Json)>) -> Json {
@@ -93,7 +100,7 @@ impl Json {
         let b = s.as_bytes();
         let mut p = Parser { b, i: 0 };
         p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.i != b.len() {
             return Err(p.err("trailing characters"));
@@ -279,10 +286,15 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    /// Parses one value nested `depth` arrays/objects deep.
+    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
+        let nested = matches!(self.peek(), Some(b'{' | b'['));
+        if nested && depth >= MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -370,7 +382,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
+    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -380,7 +392,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.i += 1,
@@ -393,7 +405,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
+    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.eat(b'{')?;
         let mut pairs = Vec::new();
         self.skip_ws();
@@ -407,7 +419,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.eat(b':')?;
             self.skip_ws();
-            let val = self.value()?;
+            let val = self.value(depth)?;
             pairs.push((key, val));
             self.skip_ws();
             match self.peek() {
@@ -452,6 +464,18 @@ mod tests {
         assert!(Json::parse("[1, 2,]").is_err());
         assert!(Json::parse("{}extra").is_err());
         assert!(Json::parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH);
+        assert!(err.msg.contains("nesting"), "{err}");
+        // Far deeper than any stack could recurse: refused, not aborted.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -161,7 +161,10 @@ pub fn fatclique(p: FatCliqueParams) -> Result<Topology, ModelError> {
         let rem = ports_per_block % (b - 1);
         // links[x][y]: number of links between blocks x and y.
         let mut links = vec![vec![0usize; b]; b];
-        #[allow(clippy::needless_range_loop)]
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "the (x, y) pair walks the upper triangle of the block matrix"
+        )]
         for x in 0..b {
             for y in (x + 1)..b {
                 links[x][y] = base;
@@ -193,7 +196,10 @@ pub fn fatclique(p: FatCliqueParams) -> Result<Topology, ModelError> {
         // contract the paper's Equation 18 relies on).
         let per_block = s * c;
         let mut inter_deg = vec![0usize; n];
-        #[allow(clippy::needless_range_loop)]
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "the (x, y) pair walks the upper triangle of the block matrix"
+        )]
         for x in 0..b {
             for y in (x + 1)..b {
                 if links[x][y] > per_block * per_block {

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! `dcn-trace`: per-event trace export on top of `dcn-obs`.
 //!
 //! `dcn-obs` aggregates spans into per-path totals — enough to see *where*
@@ -41,7 +40,9 @@
 //! past the cap bump the `trace.events.dropped` counter instead of
 //! allocating.
 
-#![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 use dcn_obs::json::Json;
 use dcn_obs::{TracePhase, TraceSink};
@@ -102,6 +103,10 @@ thread_local! {
 }
 
 impl ChromeTracer {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "trace events are timestamped against this process-wide monotonic origin"
+    )]
     fn new() -> ChromeTracer {
         let max_events = dcn_obs::env::TRACE_MAX_EVENTS
             .parsed::<u64>()

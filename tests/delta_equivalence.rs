@@ -37,7 +37,10 @@ fn prepared_ctx(topo: &Topology, tm: &TrafficMatrix, k: usize, budget: &Budget) 
 struct HostileLp {
     lp: LinearProgram,
     obj: Vec<(usize, f64)>,
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "test fixture keeping constraint rows as plain tuples"
+    )]
     rows: Vec<(Vec<(usize, f64)>, Cmp, f64)>,
     n: usize,
 }

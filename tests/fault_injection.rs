@@ -6,6 +6,11 @@
 //! test is uniform: hostile input yields a **typed error** (or a sound
 //! degraded result) — never a panic, never a hang, never a silent NaN.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the harness times budgets, kills child processes and races threads"
+)]
+
 use dcn::graph::ksp::yen;
 use dcn::graph::{Graph, GraphError};
 use dcn::guard::adversarial::{all_cases, hostile_floats, CaseSpec, Xorshift};
@@ -227,6 +232,30 @@ fn hostile_floats_never_panic_model_constructors() {
             ),
         }
     }
+}
+
+/// A topology file is a CLI argument (`dcn eval <file>`): a nesting bomb
+/// in it is refused as invalid topology JSON, not a stack overflow.
+#[test]
+fn deeply_nested_topology_json_is_refused() {
+    for text in [
+        "[".repeat(200_000),
+        format!("{{\"name\":\"x\",\"switches\":{}", "[".repeat(200_000)),
+    ] {
+        match Topology::from_json(&text) {
+            Err(ModelError::InfeasibleParams(msg)) => assert!(msg.contains("nesting"), "{msg}"),
+            other => panic!("nesting bomb must be a typed refusal, got {other:?}"),
+        }
+    }
+}
+
+/// `perf_gate` reads run manifests named on its command line: a nesting
+/// bomb in one is refused with the parser's message.
+#[test]
+fn deeply_nested_run_manifest_is_refused() {
+    let text = format!("{{\"name\":\"x\",\"metrics\":{}", "[".repeat(200_000));
+    let err = dcn::obs::manifest::RunManifest::from_json(&text).unwrap_err();
+    assert!(err.contains("nesting"), "{err}");
 }
 
 #[test]
@@ -601,6 +630,25 @@ fn fleet_poison_unit_yields_explicit_quarantine_report() {
     let q = std::fs::read_to_string(root.join("quarantine").join("poison.json"))
         .expect("durable quarantine record");
     assert!(q.contains("attempts"), "{q}");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A queue directory may be shared, so a unit record is untrusted input:
+/// a nesting bomb in `pending/` is quarantined as unreadable and the
+/// worker carries on, rather than aborting on a stack overflow.
+#[test]
+fn deeply_nested_unit_record_is_quarantined_by_worker() {
+    let root = fleet_scratch("nesting-bomb");
+    let pending = root.join("pending");
+    std::fs::create_dir_all(&pending).expect("create pending dir");
+    std::fs::write(pending.join("bomb.json"), "[".repeat(200_000)).expect("plant bomb");
+    let published = worker_main(&root, fleet_toy_solve).expect("worker survives");
+    assert_eq!(published, 0);
+    let q = std::fs::read_to_string(root.join("quarantine").join("bomb.json"))
+        .expect("bomb quarantined");
+    assert!(q.contains("unreadable unit record"), "{q}");
+    assert!(q.contains("nesting"), "{q}");
+    assert!(!pending.join("bomb.json").exists());
     let _ = std::fs::remove_dir_all(&root);
 }
 
