@@ -10,10 +10,10 @@
 
 use crate::tub::{tub, MatchingBackend};
 use crate::CoreError;
-use dcn_cache::SolveCtx;
+use dcn_cache::{CacheKey, SolveCtx};
 use dcn_exec::Pool;
 use dcn_graph::NodeId;
-use dcn_mcf::{ksp_mcf_throughput, throughput_on_paths, Engine, PairMemo};
+use dcn_mcf::{theta_key, throughput_on_paths, Engine, PairMemo, ThroughputResult};
 use dcn_model::{Topology, TrafficMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -49,14 +49,17 @@ const PROPOSAL_BATCH: usize = 8;
 /// is accepted. Acceptance tests are expensive — every one is an MCF
 /// solve — so keep `iters` modest (tens) and topologies small/medium.
 ///
-/// With `DCN_DELTA=on`, successive proposals reuse per-pair path
-/// enumerations through a [`PairMemo`]: the fabric is fixed, so a
-/// commodity's K shortest paths depend only on its endpoints, and each
-/// proposal only introduces the two swapped pairs. Missing pairs are
-/// enumerated serially *before* each batch fans out, so the memo is read-
-/// only under the pool and results stay byte-identical at any
-/// `DCN_EXEC_THREADS` — and byte-identical to `DCN_DELTA=off`, because a
-/// memo-assembled path set is bit-identical to a from-scratch build.
+/// Successive proposals reuse per-pair path enumerations through a
+/// [`PairMemo`]: the fabric is fixed, so a commodity's K shortest paths
+/// depend only on its endpoints, and each proposal only introduces the
+/// two swapped pairs. A memo-assembled path set is bit-identical to a
+/// from-scratch build, so every candidate is cached under the same key
+/// [`ksp_mcf_throughput`] uses, and a warm rerun enumerates nothing.
+/// Missing pairs are enumerated serially *before* each batch fans out, so
+/// the memo is read-only under the pool and results stay byte-identical
+/// at any `DCN_EXEC_THREADS`.
+///
+/// [`ksp_mcf_throughput`]: dcn_mcf::ksp_mcf_throughput
 pub fn adversarial_search(
     topo: &Topology,
     iters: u32,
@@ -67,31 +70,16 @@ pub fn adversarial_search(
 ) -> Result<AdversarialResult, CoreError> {
     let bound = tub(topo, MatchingBackend::Auto { exact_below: 500 }, ctx)?;
     let mut pairs: Vec<(NodeId, NodeId)> = bound.pairs.clone();
-    let mut memo = if crate::delta::enabled() {
-        Some(PairMemo::new(topo, k_paths))
-    } else {
-        None
+    let engine = Engine::Fptas { eps };
+    let mut memo = PairMemo::new(topo, k_paths);
+    let pool = Pool::from_env();
+    let mut batch = |candidates: &[Vec<(NodeId, NodeId)>]| {
+        batch_theta(topo, &mut memo, k_paths, engine, candidates, &pool, ctx)
     };
-    let eval = |pairs: &[(NodeId, NodeId)]| -> Result<f64, CoreError> {
-        let tm = TrafficMatrix::permutation(topo, pairs)?;
-        Ok(ksp_mcf_throughput(topo, &tm, k_paths, Engine::Fptas { eps }, ctx)?.theta_lb)
-    };
-    let eval_warm = |memo: &PairMemo, pairs: &[(NodeId, NodeId)]| -> Result<f64, CoreError> {
-        let tm = TrafficMatrix::permutation(topo, pairs)?;
-        let ps = memo.pathset(&tm)?;
-        Ok(throughput_on_paths(&ps, Engine::Fptas { eps }, ctx.budget)?.theta_lb)
-    };
-    let mut theta = match memo.as_mut() {
-        Some(m) => {
-            m.ensure_pairs(&pairs, ctx.budget)?;
-            eval_warm(m, &pairs)?
-        }
-        None => eval(&pairs)?,
-    };
+    let mut theta = batch(std::slice::from_ref(&pairs))?[0];
     let theta_start = theta;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut improvements = 0u32;
-    let pool = Pool::from_env();
     let mut proposed = 0u32;
     while proposed < iters && pairs.len() >= 2 {
         // Draw the whole batch serially from the shared RNG so the
@@ -119,21 +107,7 @@ pub fn adversarial_search(
         if candidates.is_empty() {
             continue;
         }
-        // Fill the memo serially with every pair the batch can need, so
-        // the fan-out below only reads it.
-        if let Some(m) = memo.as_mut() {
-            let batch_pairs: Vec<(NodeId, NodeId)> =
-                candidates.iter().flat_map(|c| c.iter().copied()).collect();
-            m.ensure_pairs(&batch_pairs, ctx.budget)?;
-        }
-        let memo_ref = memo.as_ref();
-        let thetas = pool.par_map(ctx.budget, &candidates, |_, cand| {
-            let _cand = dcn_obs::span!(dcn_obs::names::CORE_NEARWORST_CANDIDATE);
-            match memo_ref {
-                Some(m) => eval_warm(m, cand),
-                None => eval(cand),
-            }
-        })?;
+        let thetas = batch(&candidates)?;
         let best = thetas
             .iter()
             .enumerate()
@@ -150,6 +124,47 @@ pub fn adversarial_search(
         theta,
         theta_start,
         improvements,
+    })
+}
+
+/// Routed θ of each candidate permutation, in order. A candidate whose
+/// answer is cached under [`theta_key`] costs one lookup. The pairs of
+/// the others are enumerated into `memo` serially, then their solves fan
+/// out across `pool` with the memo read-only, so results do not depend on
+/// the pool width.
+fn batch_theta(
+    topo: &Topology,
+    memo: &mut PairMemo,
+    k_paths: usize,
+    engine: Engine,
+    candidates: &[Vec<(NodeId, NodeId)>],
+    pool: &Pool,
+    ctx: &SolveCtx<'_>,
+) -> Result<Vec<f64>, CoreError> {
+    let tms = candidates
+        .iter()
+        .map(|c| TrafficMatrix::permutation(topo, c))
+        .collect::<Result<Vec<_>, _>>()?;
+    let keys: Vec<CacheKey> = tms.iter().map(|tm| theta_key(topo, tm, k_paths, engine)).collect();
+    let cached: Vec<Option<ThroughputResult>> = keys.iter().map(|&k| ctx.cache.peek(k)).collect();
+    let missing: Vec<(NodeId, NodeId)> = candidates
+        .iter()
+        .zip(&cached)
+        .filter(|(_, hit)| hit.is_none())
+        .flat_map(|(c, _)| c.iter().copied())
+        .collect();
+    memo.ensure_pairs(&missing, ctx.budget)?;
+    let memo = &*memo;
+    pool.par_map(ctx.budget, &tms, |i, tm| -> Result<f64, CoreError> {
+        let _cand = dcn_obs::span!(dcn_obs::names::CORE_NEARWORST_CANDIDATE);
+        let r = match &cached[i] {
+            Some(r) => r.clone(),
+            None => ctx.cache.get_or_compute(
+                || keys[i],
+                || throughput_on_paths(&memo.pathset(tm)?, engine, ctx.budget),
+            )?,
+        };
+        Ok(r.theta_lb)
     })
 }
 

@@ -6,7 +6,8 @@
 //! *actual* value is the tub of the degraded topology; the gap between the
 //! two is the paper's resilience deviation.
 
-use crate::tub::{tub, MatchingBackend};
+use crate::delta::TubDelta;
+use crate::tub::MatchingBackend;
 use crate::CoreError;
 use dcn_cache::SolveCtx;
 use dcn_exec::{task_seed, Pool};
@@ -50,15 +51,16 @@ impl FailurePoint {
 /// share the one [`CacheHandle`]; repeated failure patterns (and sweep
 /// reruns) hit the cache without changing any output.
 ///
-/// With `DCN_DELTA=on` and an exact matching backend, each sample reuses
-/// the unfailed parent's distance matrix and Hungarian dual state (see
-/// `core::delta`): only sources whose shortest paths crossed a fully
-/// vanished trunk re-run BFS, and only their matching rows re-augment.
-/// The delta bound is bit-identical to the cold exact bound, the parent
-/// is solved once *before* the fan-out (so every thread deltas off the
-/// same artifacts at any `DCN_EXEC_THREADS`), and any delta failure falls
-/// back to the cold path per sample. `DCN_DELTA=off` takes exactly the
-/// code path that existed before deltas.
+/// Every sample is a link-degraded copy of `topo`, so with an exact
+/// matching backend each one deltas off the unfailed parent's distance
+/// matrix and Hungarian dual state (see `core::delta`): only sources
+/// whose shortest paths crossed a fully vanished trunk re-run BFS, and
+/// only their matching rows re-augment. The bound is bit-identical to a
+/// cold exact [`tub`](crate::tub::tub) of the sample. The parent is
+/// solved at most once, by whichever lookup misses the cache first — θ0
+/// on a cold run, nothing at all on a warm rerun — and any delta failure
+/// falls back to the cold path per sample. A greedy backend solves each
+/// sample with cold `tub`.
 pub fn failure_sweep(
     topo: &Topology,
     fractions: &[f64],
@@ -67,14 +69,8 @@ pub fn failure_sweep(
     seed: u64,
     ctx: &SolveCtx<'_>,
 ) -> Result<Vec<FailurePoint>, CoreError> {
-    let theta0 = tub(topo, backend, ctx)?.bound.min(1.0);
-    // Deterministic parent artifacts for DCN_DELTA=on, prepared once
-    // before the fan-out so every worker deltas off the same solve.
-    let delta_parent = if crate::delta::enabled() {
-        crate::delta::TubDeltaParent::prepare(topo, backend, ctx)
-    } else {
-        None
-    };
+    let delta = TubDelta::new(topo, backend);
+    let theta0 = delta.parent_tub(ctx)?.bound.min(1.0);
     let skipped_ctr = dcn_obs::counter!(dcn_obs::names::CORE_RESILIENCE_DISCONNECTED_SAMPLES);
     let trials = trials.max(1);
     // One task per (fraction, trial) sample; merged back per fraction.
@@ -87,11 +83,7 @@ pub fn failure_sweep(
         let mut rng = StdRng::seed_from_u64(task_seed(seed, i as u64));
         match fail_random_links(topo, f, &mut rng) {
             Ok(degraded) => {
-                let t = match &delta_parent {
-                    Some(p) => p.tub_or_cold(&degraded, backend, ctx)?,
-                    None => tub(&degraded, backend, ctx)?,
-                };
-                Ok(Some(t.bound.min(1.0)))
+                Ok(Some(delta.child_tub(&degraded, ctx)?.bound.min(1.0)))
             }
             Err(_) => {
                 skipped_ctr.inc();

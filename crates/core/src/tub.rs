@@ -47,6 +47,16 @@ impl Default for MatchingBackend {
 }
 
 impl MatchingBackend {
+    /// True when this backend runs the exact Hungarian on `n`
+    /// server-hosting switches.
+    pub(crate) fn runs_exact(&self, n: usize) -> bool {
+        match *self {
+            MatchingBackend::Exact => true,
+            MatchingBackend::Greedy { .. } => false,
+            MatchingBackend::Auto { exact_below } => n < exact_below,
+        }
+    }
+
     /// Serializes the backend for `dcn-fleet` work-unit payloads.
     pub fn to_json(&self) -> Json {
         match self {
@@ -271,7 +281,9 @@ pub fn tub(
     ctx.cache.get_or_compute(|| tub_key(topo, backend), || tub_uncached(topo, backend, ctx.budget))
 }
 
-fn tub_uncached(
+/// The cold pipeline behind [`tub`], uncached. Also the fallback of the
+/// resilience sweep's delta path (`core::delta`).
+pub(crate) fn tub_uncached(
     topo: &Topology,
     backend: MatchingBackend,
     budget: &Budget,
@@ -287,22 +299,41 @@ fn tub_uncached(
         let _apsp = dcn_obs::span!(dcn_obs::names::CORE_TUB_APSP);
         DistMatrix::from_sources(topo.graph(), &k)?
     };
-    let weight = |i: usize, j: usize| -> i64 {
-        if i == j {
-            return 0;
-        }
-        let (u, v) = (k[i], k[j]);
-        let h = topo.servers_at(u).min(topo.servers_at(v)) as i64;
-        dist.dist(u, v) as i64 * h
-    };
-    let n = k.len();
+    let weight = |i: usize, j: usize| pair_weight(topo, &k, &dist, i, j);
     let (matching, backend_name, fallback) = {
         let _m = dcn_obs::span!(dcn_obs::names::CORE_TUB_MATCHING);
-        run_matching(n, weight, backend, budget)
+        run_matching(k.len(), weight, backend, budget)
     };
-    let mut pairs = Vec::with_capacity(n);
+    let r = equation_1(topo, &k, &matching.assignment, weight, backend_name, fallback)?;
+    dcn_obs::gauge!(dcn_obs::names::CORE_TUB_BOUND).set(r.bound);
+    Ok(r)
+}
+
+/// Matching weight between the `i`-th and `j`-th server-hosting switches
+/// `k`: `L_uv · min(H_u, H_v)`, zero on the diagonal.
+pub(crate) fn pair_weight(topo: &Topology, k: &[NodeId], dist: &DistMatrix, i: usize, j: usize) -> i64 {
+    if i == j {
+        return 0;
+    }
+    let (u, v) = (k[i], k[j]);
+    let h = topo.servers_at(u).min(topo.servers_at(v)) as i64;
+    dist.dist(u, v) as i64 * h
+}
+
+/// Equation 1 over a matched permutation (`assignment[i] = j` pairs the
+/// `i`-th switch of `k` with the `j`-th). The weighted path length is an
+/// exact integer sum, so any two optimal matchings give the same bound.
+pub(crate) fn equation_1(
+    topo: &Topology,
+    k: &[NodeId],
+    assignment: &[usize],
+    weight: impl Fn(usize, usize) -> i64,
+    backend: &'static str,
+    fallback: bool,
+) -> Result<TubResult, CoreError> {
+    let mut pairs = Vec::with_capacity(k.len());
     let mut weighted_path_len = 0.0;
-    for (i, &j) in matching.assignment.iter().enumerate() {
+    for (i, &j) in assignment.iter().enumerate() {
         if i == j {
             continue;
         }
@@ -315,14 +346,12 @@ fn tub_uncached(
             "maximal permutation has zero total path length".into(),
         ));
     }
-    let bound = capacity / weighted_path_len;
-    dcn_obs::gauge!(dcn_obs::names::CORE_TUB_BOUND).set(bound);
     Ok(TubResult {
-        bound,
+        bound: capacity / weighted_path_len,
         pairs,
         weighted_path_len,
         capacity,
-        backend: backend_name,
+        backend,
         fallback,
     })
 }
@@ -333,36 +362,28 @@ fn run_matching(
     backend: MatchingBackend,
     budget: &Budget,
 ) -> (Matching, &'static str, bool) {
-    // Exact matching with greedy degradation on budget exhaustion. The
-    // greedy path is O(n^2) with no unbounded loops, so it always
-    // completes; soundness is preserved because Equation 1 minimizes over
-    // permutations — any permutation upper-bounds throughput.
-    let exact_or_greedy = |passes: usize| match hungarian_max(n, weight, budget) {
-        Ok(m) => (m, "hungarian", false),
-        Err(e) => {
-            dcn_obs::counter!(dcn_obs::names::CORE_TUB_FALLBACKS).inc();
-            dcn_obs::obs_log!("core.tub: hungarian aborted ({e}); using greedy fallback");
-            let mut m = greedy_max(n, weight);
-            improve_2swap(n, weight, &mut m, passes);
-            (m, "greedy+2swap(fallback)", true)
-        }
+    let greedy = |passes: usize| {
+        let mut m = greedy_max(n, weight);
+        improve_2swap(n, weight, &mut m, passes);
+        m
     };
     match backend {
-        MatchingBackend::Exact => exact_or_greedy(2),
         MatchingBackend::Greedy { improvement_passes } => {
-            let mut m = greedy_max(n, weight);
-            improve_2swap(n, weight, &mut m, improvement_passes);
-            (m, "greedy+2swap", false)
+            (greedy(improvement_passes), "greedy+2swap", false)
         }
-        MatchingBackend::Auto { exact_below } => {
-            if n < exact_below {
-                exact_or_greedy(2)
-            } else {
-                let mut m = greedy_max(n, weight);
-                improve_2swap(n, weight, &mut m, 2);
-                (m, "greedy+2swap", false)
+        _ if !backend.runs_exact(n) => (greedy(2), "greedy+2swap", false),
+        // Exact matching with greedy degradation on budget exhaustion. The
+        // greedy path is O(n^2) with no unbounded loops, so it always
+        // completes; soundness is preserved because Equation 1 minimizes
+        // over permutations — any permutation upper-bounds throughput.
+        _ => match hungarian_max(n, weight, budget) {
+            Ok(m) => (m, "hungarian", false),
+            Err(e) => {
+                dcn_obs::counter!(dcn_obs::names::CORE_TUB_FALLBACKS).inc();
+                dcn_obs::obs_log!("core.tub: hungarian aborted ({e}); using greedy fallback");
+                (greedy(2), "greedy+2swap(fallback)", true)
             }
-        }
+        },
     }
 }
 

@@ -1,6 +1,7 @@
 //! The exec determinism contract, end to end: a full resilience curve and
-//! a near-worst traffic search must be *byte-identical* under
-//! `DCN_EXEC_THREADS=1` and `DCN_EXEC_THREADS=4`.
+//! a near-worst traffic search — both on their incremental delta paths —
+//! must be *byte-identical* under `DCN_EXEC_THREADS=1` and
+//! `DCN_EXEC_THREADS=4`.
 //!
 //! Everything lives in one `#[test]` because the thread count is a
 //! process-global environment variable: separate tests would race on it.
@@ -86,40 +87,4 @@ fn thread_count_never_changes_results() {
     assert_eq!(n1.theta.to_bits(), n4.theta.to_bits());
     assert_eq!(n1.theta_start.to_bits(), n4.theta_start.to_bits());
     assert_eq!(n1.improvements, n4.improvements);
-
-    // 4. DCN_DELTA=on legs, threads 1 and 4: the incremental paths must
-    // reproduce the cold runs above byte-for-byte — the delta parent is
-    // prepared before the fan-out and the exact delta bound (and memoized
-    // path sets) are bit-identical to from-scratch, so `on` is held to the
-    // *same* reference output as `off`, not merely to itself.
-    let with_delta = |f: &mut dyn FnMut()| {
-        std::env::set_var("DCN_DELTA", "on");
-        f();
-        std::env::remove_var("DCN_DELTA");
-    };
-    for threads in [1usize, 4] {
-        with_delta(&mut || {
-            let ds = sweep(threads, &nocache());
-            let reference = &runs[0];
-            assert_eq!(ds.len(), reference.len());
-            for (a, b) in ds.iter().zip(reference.iter()) {
-                assert_eq!(
-                    a.actual.map(f64::to_bits),
-                    b.actual.map(f64::to_bits),
-                    "DCN_DELTA=on sweep diverged at {} threads",
-                    threads
-                );
-                assert_eq!(a.trials, b.trials);
-            }
-            let dn = search(threads);
-            assert_eq!(
-                dn.theta.to_bits(),
-                n1.theta.to_bits(),
-                "DCN_DELTA=on search diverged at {} threads",
-                threads
-            );
-            assert_eq!(dn.theta_start.to_bits(), n1.theta_start.to_bits());
-            assert_eq!(dn.improvements, n1.improvements);
-        });
-    }
 }

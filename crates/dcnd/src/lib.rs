@@ -178,6 +178,57 @@ pub fn parse_query(line: &str) -> Result<Query, String> {
     })
 }
 
+/// A topology-spec size field that is present but not an integer in
+/// `0..=u32::MAX`, as `(field, value)`. Casting such a value would
+/// silently round (`4.9` → 4), clamp (`-4` → 0) or saturate (`1e300` →
+/// `u64::MAX`) it into a different fabric than the one asked for.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SpecFieldError {
+    /// Not a number, or a number with a fractional part.
+    NotInteger(String, String),
+    /// A negative number.
+    Negative(String, String),
+    /// A number above `u32::MAX` (value in scientific notation).
+    TooLarge(String, String),
+}
+
+impl std::fmt::Display for SpecFieldError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (field, got, what) = match self {
+            SpecFieldError::NotInteger(field, got) => (field, got, "an integer"),
+            SpecFieldError::Negative(field, got) => (field, got, "non-negative"),
+            SpecFieldError::TooLarge(field, got) => (field, got, "at most 4294967295"),
+        };
+        write!(f, "topology field `{field}` must be {what}, got {got}")
+    }
+}
+
+impl std::error::Error for SpecFieldError {}
+
+impl From<SpecFieldError> for String {
+    fn from(e: SpecFieldError) -> String {
+        e.to_string()
+    }
+}
+
+/// Reads an integer size field of a topology spec: `Ok(None)` when it is
+/// absent. The one reader behind [`canonical_topo_ident`] and
+/// [`build_topology`], so a spec the key accepts is the spec the build
+/// uses.
+pub fn int_field(spec: &Json, field: &str) -> Result<Option<u32>, SpecFieldError> {
+    let Some(value) = spec.get(field) else {
+        return Ok(None);
+    };
+    let field = field.to_string();
+    match value.as_f64().filter(|n| n.is_finite() && n.trunc() == *n) {
+        None => Err(SpecFieldError::NotInteger(field, value.to_string_compact())),
+        Some(n) if n < 0.0 => Err(SpecFieldError::Negative(field, value.to_string_compact())),
+        // Scientific notation: a huge whole number would print every digit.
+        Some(n) if n > u32::MAX as f64 => Err(SpecFieldError::TooLarge(field, format!("{n:e}"))),
+        Some(n) => Ok(Some(n as u32)),
+    }
+}
+
 /// The canonical identity string of a topology spec, computed *without*
 /// building the topology (admission must stay cheap).
 ///
@@ -194,18 +245,18 @@ pub fn canonical_topo_ident(spec: &Json) -> Result<(String, bool), String> {
         .get("family")
         .and_then(Json::as_str)
         .ok_or("topology spec needs a `family`")?;
-    let num = |key: &str| spec.get(key).and_then(Json::as_f64);
+    let int = |key: &str| int_field(spec, key);
     match family {
         "fat_tree" => {
-            let k = num("k").ok_or("fat_tree needs `k`")? as u64;
+            let k = int("k")?.ok_or("fat_tree needs `k`")?;
             Ok((format!("fat_tree(k={k})"), true))
         }
         "clos" => {
-            let radix = num("radix").ok_or("clos needs `radix`")? as u64;
-            let layers = num("layers").unwrap_or(3.0) as u64;
-            let top_pods = num("top_pods").unwrap_or(radix as f64) as u64;
-            let spine = num("spine_uplink_fraction").unwrap_or(1.0);
-            let leaf = num("leaf_servers").unwrap_or(0.0) as u64;
+            let radix = int("radix")?.ok_or("clos needs `radix`")?;
+            let layers = int("layers")?.unwrap_or(3);
+            let top_pods = int("top_pods")?.unwrap_or(radix);
+            let spine = spec.get("spine_uplink_fraction").and_then(Json::as_f64).unwrap_or(1.0);
+            let leaf = int("leaf_servers")?.unwrap_or(0);
             Ok((
                 format!(
                     "clos(radix={radix},layers={layers},top_pods={top_pods},\
@@ -249,28 +300,31 @@ pub fn build_topology(spec: &Json) -> Result<Topology, String> {
         .get("family")
         .and_then(Json::as_str)
         .ok_or("topology spec needs a `family`")?;
-    let num = |key: &str| spec.get(key).and_then(Json::as_f64);
+    let int = |key: &str| int_field(spec, key);
     match family {
         "fat_tree" => {
-            let k = num("k").ok_or("fat_tree needs `k`")? as usize;
-            fat_tree(k).map_err(|e| e.to_string())
+            let k = int("k")?.ok_or("fat_tree needs `k`")?;
+            fat_tree(k as usize).map_err(|e| e.to_string())
         }
         "clos" => {
-            let radix = num("radix").ok_or("clos needs `radix`")? as usize;
+            let radix = int("radix")?.ok_or("clos needs `radix`")?;
             folded_clos(ClosParams {
-                radix,
-                layers: num("layers").unwrap_or(3.0) as usize,
-                top_pods: num("top_pods").unwrap_or(radix as f64) as usize,
-                spine_uplink_fraction: num("spine_uplink_fraction").unwrap_or(1.0),
-                leaf_servers: num("leaf_servers").unwrap_or(0.0) as usize,
+                radix: radix as usize,
+                layers: int("layers")?.unwrap_or(3) as usize,
+                top_pods: int("top_pods")?.unwrap_or(radix) as usize,
+                spine_uplink_fraction: spec
+                    .get("spine_uplink_fraction")
+                    .and_then(Json::as_f64)
+                    .unwrap_or(1.0),
+                leaf_servers: int("leaf_servers")?.unwrap_or(0) as usize,
             })
             .map_err(|e| e.to_string())
         }
         "jellyfish" | "xpander" | "fatclique" => {
             let fam = Family::from_name(family).ok_or("unreachable: family matched above")?;
-            let switches = num("switches").ok_or(format!("{family} needs `switches`"))? as usize;
-            let radix = num("radix").ok_or(format!("{family} needs `radix`"))? as u32;
-            let h = num("h").unwrap_or(4.0) as u32;
+            let switches = int("switches")?.ok_or(format!("{family} needs `switches`"))? as usize;
+            let radix = int("radix")?.ok_or(format!("{family} needs `radix`"))?;
+            let h = int("h")?.unwrap_or(4);
             let seed = spec.get("seed").and_then(Json::as_u64).unwrap_or(1);
             fam.build(switches, radix, h, seed).map_err(|e| e.to_string())
         }

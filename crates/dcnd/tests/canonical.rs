@@ -11,7 +11,7 @@
 //! deltas are exact.
 
 use dcn_cache::CacheHandle;
-use dcn_dcnd::{parse_query, Daemon, DaemonConfig};
+use dcn_dcnd::{build_topology, int_field, parse_query, Daemon, DaemonConfig, SpecFieldError};
 use dcn_obs::json::Json;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
@@ -292,4 +292,33 @@ fn deeply_nested_line_gets_an_error_and_serving_carries_on() {
     assert_eq!(status(lines[0]), "error");
     assert!(lines[0].contains("nesting deeper than"), "{}", lines[0]);
     assert_eq!(status(lines[1]), "ok");
+}
+
+/// A spec field that would not survive an integer cast unchanged must be
+/// refused by both the key and the build, never rounded into another
+/// fabric.
+fn assert_field_refused(spec: &str, expect: SpecFieldError) {
+    let line = format!(r#"{{"topology":{spec},"estimator":"tub"}}"#);
+    assert_eq!(parse_query(&line).unwrap_err(), expect.to_string(), "{spec}");
+    let spec = Json::parse(spec).unwrap();
+    assert_eq!(build_topology(&spec).unwrap_err(), expect.to_string());
+    assert_eq!(int_field(&spec, "k"), Err(expect));
+}
+
+#[test]
+fn fractional_field_is_refused_not_rounded() {
+    let e = SpecFieldError::NotInteger("k".into(), "4.9".into());
+    assert_field_refused(r#"{"family":"fat_tree","k":4.9}"#, e);
+}
+
+#[test]
+fn negative_field_is_refused_not_clamped() {
+    let e = SpecFieldError::Negative("k".into(), "-4".into());
+    assert_field_refused(r#"{"family":"fat_tree","k":-4}"#, e);
+}
+
+#[test]
+fn huge_field_is_refused_not_saturated() {
+    let e = SpecFieldError::TooLarge("k".into(), "1e300".into());
+    assert_field_refused(r#"{"family":"fat_tree","k":1e300}"#, e);
 }

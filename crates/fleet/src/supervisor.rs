@@ -110,6 +110,9 @@ pub struct FleetReport {
     pub crashes: u64,
     /// Workers SIGKILLed for holding a claim past its lease.
     pub lease_kills: u64,
+    /// Workers still running after the completed campaign's shutdown
+    /// grace, and therefore SIGKILLed.
+    pub shutdown_kills: u64,
     /// Units quarantined as poisonous.
     pub quarantined: usize,
 }
@@ -120,12 +123,29 @@ fn parse_claim(stem: &str) -> Option<(String, u32)> {
     Some((id.to_string(), pid.parse::<u32>().ok()?))
 }
 
-fn kill_all(children: &mut Vec<(u32, Child)>) {
+/// Poll intervals a completed campaign gives its workers to exit on their
+/// own before the stragglers are killed.
+const SHUTDOWN_GRACE_POLLS: u32 = 100;
+
+/// Gives each live worker up to `grace` poll intervals to exit by itself
+/// (a worker that finds the pending queue empty exits and flushes its
+/// obs/trace output on the way), then SIGKILLs the rest. Returns the
+/// number killed.
+fn reap(children: &mut Vec<(u32, Child)>, grace: u32, poll: Duration) -> u64 {
+    for _ in 0..grace {
+        children.retain_mut(|(_, child)| !matches!(child.try_wait(), Ok(Some(_))));
+        if children.is_empty() {
+            break;
+        }
+        std::thread::sleep(poll);
+    }
     for (_, child) in children.iter_mut() {
         let _ = child.kill();
         let _ = child.wait();
     }
+    let killed = children.len() as u64;
     children.clear();
+    killed
 }
 
 /// Runs `units` through the queue at `cfg.root` using up to
@@ -277,7 +297,7 @@ pub fn run_fleet(
     let mut meter = budget.meter();
     let report = loop {
         if let Err(e) = meter.tick() {
-            kill_all(&mut children);
+            reap(&mut children, 0, cfg.poll);
             return Err(FleetError::Budget(e));
         }
         scan_done(&mut done);
@@ -396,7 +416,7 @@ pub fn run_fleet(
                 Err(e) => {
                     spawn_failures += 1;
                     if spawn_failures >= 8 {
-                        kill_all(&mut children);
+                        reap(&mut children, 0, cfg.poll);
                         return Err(FleetError::Spawn(format!(
                             "worker spawn failed {spawn_failures} times in a row: {e}"
                         )));
@@ -432,7 +452,8 @@ pub fn run_fleet(
 
         std::thread::sleep(cfg.poll);
     };
-    kill_all(&mut children);
+    let grace = if report.is_ok() { SHUTDOWN_GRACE_POLLS } else { 0 };
+    let shutdown_kills = reap(&mut children, grace, cfg.poll);
     report?;
     dcn_obs::counter!(dcn_obs::names::FLEET_UNITS_COMPLETED)
         .add((done.len() - recovered) as u64);
@@ -468,6 +489,7 @@ pub fn run_fleet(
         retries,
         crashes,
         lease_kills,
+        shutdown_kills,
         quarantined: quarantined.len(),
     })
 }

@@ -136,6 +136,22 @@ fn completes_and_merges_in_input_order() {
 }
 
 #[test]
+fn clean_campaign_lets_workers_exit_on_their_own() {
+    // Workers exit by themselves once the pending queue is empty; the
+    // supervisor must reap them, not SIGKILL them mid-flush.
+    let root = scratch("clean-exit");
+    let units = square_units(8);
+    let report = run_fleet(&cfg(&root, 2), &units, &Budget::unlimited(), &|| {
+        worker_cmd(&root)
+    })
+    .expect("fleet run");
+    assert!(report.outcomes.iter().all(|o| matches!(o, UnitOutcome::Ok(_))), "{report:?}");
+    assert_eq!(report.crashes, 0, "{report:?}");
+    assert_eq!(report.shutdown_kills, 0, "{report:?}");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn merge_is_deterministic_across_worker_counts_with_shuffled_completion() {
     // Induced sleeps shuffle which shard finishes first at every worker
     // count; the merged outcome list must not care.

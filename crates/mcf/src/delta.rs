@@ -16,11 +16,16 @@
 //!   repairs residual infeasibility with a bounded dual pass and falls
 //!   back to a cold solve on any trouble, so the answer is never less
 //!   trustworthy than a from-scratch solve of the same (pruned) instance.
+//!   A library API for now: no sweep calls it yet.
 //! * [`PairMemo`] — per-pair path enumerations memoized across traffic
-//!   matrices on a *fixed* fabric. Enumeration for a commodity depends
-//!   only on `(graph, src, dst, k)`, so a path set assembled from the
-//!   memo is **bit-identical** to a from-scratch build; every downstream
-//!   result (FPTAS or exact) is therefore bit-identical too.
+//!   matrices on a *fixed* fabric, the near-worst search's only way to
+//!   build path sets. Enumeration for a commodity depends only on
+//!   `(graph, src, dst, k)`, and the memo and [`PathSet::k_shortest`]
+//!   share one per-pair step, so a path set assembled from the memo is
+//!   **bit-identical** to a from-scratch build; every downstream result
+//!   (FPTAS or exact) is therefore bit-identical too, and may share
+//!   [`crate::ksp_mcf_throughput`]'s cache entries via
+//!   [`crate::theta_key`].
 //!
 //! The pruned-reuse child is deliberately conservative: a cold solve of
 //! the degraded fabric would re-enumerate replacement paths around the
@@ -30,7 +35,7 @@
 //! same pruned path set — which is what the equivalence tests pin.
 
 use crate::exact::{self, ExactLayout};
-use crate::pathset::{Commodity, PathRepr, PathSet};
+use crate::pathset::{edge_lookup, resolve_pair, Commodity, PathRepr, PathSet};
 use crate::{McfError, SharedPathSet, ThroughputResult};
 use dcn_graph::NodeId;
 use dcn_guard::Budget;
@@ -129,11 +134,7 @@ impl DeltaCtx {
         let cg = child.graph().coalesced();
         // Child endpoint-pair lookup (coalesced graphs have at most one
         // edge per pair).
-        let mut lookup: HashMap<(NodeId, NodeId), u32> = HashMap::new();
-        for (e, &(u, v)) in cg.edges().iter().enumerate() {
-            lookup.insert((u, v), e as u32);
-            lookup.insert((v, u), e as u32);
-        }
+        let lookup = edge_lookup(&cg);
         let mut var_map: Vec<Option<usize>> = Vec::with_capacity(self.layout.n_paths);
         let mut child_var = 0usize;
         let mut commodities = Vec::with_capacity(self.parent.commodities().len());
@@ -277,6 +278,7 @@ impl DeltaCtx {
 #[derive(Debug)]
 pub struct PairMemo {
     graph: dcn_graph::Graph,
+    lookup: HashMap<(NodeId, NodeId), dcn_graph::EdgeId>,
     k: usize,
     memo: HashMap<(NodeId, NodeId), PairPaths>,
 }
@@ -291,8 +293,10 @@ impl PairMemo {
     /// An empty memo over `topo`'s coalesced graph with `k` paths per
     /// pair.
     pub fn new(topo: &Topology, k: usize) -> PairMemo {
+        let graph = topo.graph().coalesced();
         PairMemo {
-            graph: topo.graph().coalesced(),
+            lookup: edge_lookup(&graph),
+            graph,
             k,
             memo: HashMap::new(),
         }
@@ -318,12 +322,6 @@ impl PairMemo {
         pairs: &[(NodeId, NodeId)],
         budget: &Budget,
     ) -> Result<(), McfError> {
-        // Hop resolution, identical to PathSet::build.
-        let mut lookup: HashMap<(NodeId, NodeId), u32> = HashMap::new();
-        for (e, &(u, v)) in self.graph.edges().iter().enumerate() {
-            lookup.insert((u, v), e as u32);
-            lookup.insert((v, u), e as u32);
-        }
         for &(src, dst) in pairs {
             if self.memo.contains_key(&(src, dst)) {
                 continue;
@@ -337,23 +335,7 @@ impl PairMemo {
                 budget,
             )
             .map_err(McfError::Budget)?;
-            let Some(sp_len) = raw.iter().map(|p| p.len() - 1).min() else {
-                return Err(McfError::NoPath { src, dst });
-            };
-            let paths: Vec<PathRepr> = raw
-                .into_iter()
-                .map(|nodes| {
-                    let hops = nodes
-                        .windows(2)
-                        .map(|w| {
-                            let e = lookup[&(w[0], w[1])];
-                            let (u, _) = self.graph.edge(e);
-                            (e, u == w[0])
-                        })
-                        .collect();
-                    PathRepr { nodes, hops }
-                })
-                .collect();
+            let (paths, sp_len) = resolve_pair(&self.graph, &self.lookup, src, dst, raw)?;
             self.memo.insert((src, dst), PairPaths { paths, sp_len });
         }
         Ok(())

@@ -276,7 +276,11 @@ pub fn ksp_mcf_throughput(
 
 /// Cache key for a solved KSP-MCF bracket: the path-set inputs plus the
 /// engine and its accuracy parameter. Budget excluded by design.
-fn theta_key(topo: &Topology, tm: &TrafficMatrix, k: usize, engine: Engine) -> CacheKey {
+///
+/// Public so a caller that assembles the same path set another way (the
+/// near-worst search's [`PairMemo`], bit-identical to
+/// [`PathSet::k_shortest`]) can share [`ksp_mcf_throughput`]'s entries.
+pub fn theta_key(topo: &Topology, tm: &TrafficMatrix, k: usize, engine: Engine) -> CacheKey {
     let (tag, eps) = match engine {
         Engine::Exact => (0u64, 0.0),
         Engine::Fptas { eps } => (1, eps),

@@ -172,37 +172,12 @@ impl PathSet {
             return Err(McfError::EmptyTraffic);
         }
         let graph = topo.graph().coalesced();
-        // Edge lookup for hop resolution.
-        let mut lookup: HashMap<(NodeId, NodeId), EdgeId> = HashMap::new();
-        for (e, &(u, v)) in graph.edges().iter().enumerate() {
-            lookup.insert((u, v), e as EdgeId);
-            lookup.insert((v, u), e as EdgeId);
-        }
+        let lookup = edge_lookup(&graph);
         let pool = dcn_exec::Pool::from_env();
         let commodities = pool.par_map(budget, tm.demands(), |_, d| {
             let raw = enumerate(&graph, d.src, d.dst, budget)?;
-            // min() is None exactly when no path was enumerated.
-            let Some(sp_len) = raw.iter().map(|p| p.len() - 1).min() else {
-                return Err(McfError::NoPath {
-                    src: d.src,
-                    dst: d.dst,
-                });
-            };
-            let paths: Vec<PathRepr> = raw
-                .into_iter()
-                .map(|nodes| {
-                    let hops = nodes
-                        .windows(2)
-                        .map(|w| {
-                            let e = lookup[&(w[0], w[1])];
-                            let (u, _) = graph.edge(e);
-                            (e, u == w[0])
-                        })
-                        .collect();
-                    PathRepr { nodes, hops }
-                })
-                .collect();
-            Ok(Commodity {
+            let (paths, sp_len) = resolve_pair(&graph, &lookup, d.src, d.dst, raw)?;
+            Ok::<_, McfError>(Commodity {
                 src: d.src,
                 dst: d.dst,
                 demand: d.amount,
@@ -266,6 +241,50 @@ impl PathSet {
             on_sp / total
         }
     }
+}
+
+/// Both orientations of every edge of a coalesced graph, for resolving
+/// node sequences into `(edge, direction)` hops.
+pub(crate) fn edge_lookup(graph: &Graph) -> HashMap<(NodeId, NodeId), EdgeId> {
+    let mut lookup = HashMap::with_capacity(2 * graph.m());
+    for (e, &(u, v)) in graph.edges().iter().enumerate() {
+        lookup.insert((u, v), e as EdgeId);
+        lookup.insert((v, u), e as EdgeId);
+    }
+    lookup
+}
+
+/// The per-pair step of every path-set build: resolves one pair's
+/// enumerated node sequences into hops and finds its shortest-path
+/// length. An empty enumeration is [`McfError::NoPath`]. Both
+/// [`PathSet::build`] and [`crate::PairMemo`] call it, so a memoized pair
+/// equals a from-scratch one by construction.
+pub(crate) fn resolve_pair(
+    graph: &Graph,
+    lookup: &HashMap<(NodeId, NodeId), EdgeId>,
+    src: NodeId,
+    dst: NodeId,
+    raw: Vec<ksp::Path>,
+) -> Result<(Vec<PathRepr>, usize), McfError> {
+    // min() is None exactly when no path was enumerated.
+    let Some(sp_len) = raw.iter().map(|p| p.len() - 1).min() else {
+        return Err(McfError::NoPath { src, dst });
+    };
+    let paths = raw
+        .into_iter()
+        .map(|nodes| {
+            let hops = nodes
+                .windows(2)
+                .map(|w| {
+                    let e = lookup[&(w[0], w[1])];
+                    let (u, _) = graph.edge(e);
+                    (e, u == w[0])
+                })
+                .collect();
+            PathRepr { nodes, hops }
+        })
+        .collect();
+    Ok((paths, sp_len))
 }
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
 //! Delta-solver equivalence harness.
 //!
-//! The incremental paths behind `DCN_DELTA` (warm-started simplex,
-//! pruned-pathset `DeltaCtx` solves, memoized near-worst path sets,
-//! delta-TUB) promise: *never a different answer than from-scratch* —
-//! bit-identical where the computation is exact, within
+//! The incremental paths (warm-started simplex, pruned-pathset `DeltaCtx`
+//! solves, memoized near-worst path sets, delta-TUB) promise: *never a
+//! different answer than from-scratch* — bit-identical where the
+//! computation is exact, within
 //! `dcn_guard::tol` with a valid certificate where alternate optima are
 //! legitimate. This harness pins that promise against the same two
 //! corpora the fault-injection harness uses: the 14 structural attack
@@ -340,57 +340,54 @@ fn mid_delta_budget_cancellation_is_typed_and_recoverable() {
     assert_eq!(warm.theta_lb.to_bits(), cold.theta_lb.to_bits());
 }
 
-/// End-to-end: a resilience sweep and a near-worst search with
-/// `DCN_DELTA=on` are byte-identical to `DCN_DELTA=off`. (The exec
-/// determinism suite additionally pins the `on` legs across thread
-/// counts; this test owns the on-vs-off comparison. Safe to toggle the
-/// env var here: no other test in this binary reads it.)
+/// End-to-end: the resilience sweep and the near-worst search run on
+/// their delta paths only, so they are held to the cold oracles. The
+/// sweep must equal, bit for bit, a per-sample cold `tub()` loop over the
+/// same failure draws; the search's `theta_start` and `theta` must equal
+/// a cold `ksp_mcf_throughput` of the maximal permutation and of the
+/// returned traffic matrix.
 #[test]
-fn delta_on_equals_off_end_to_end() {
-    use dcn::core::{adversarial_search, resilience::failure_sweep, MatchingBackend};
+fn delta_paths_match_cold_oracles_end_to_end() {
+    use dcn::core::{adversarial_search, resilience::failure_sweep, tub, MatchingBackend};
+    use dcn::mcf::{ksp_mcf_throughput, Engine};
+    use dcn::topo::fail_random_links;
     use dcn_cache::prelude::*;
+    use dcn_exec::task_seed;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     let mut rng = StdRng::seed_from_u64(41);
     let topo = dcn::topo::jellyfish(28, 6, 3, &mut rng).unwrap();
-    type RunBits = (Vec<(u64, Option<u64>, u32)>, (u64, u64, u32));
-    let with_delta = |on: bool, f: &dyn Fn() -> RunBits| {
-        if on {
-            std::env::set_var("DCN_DELTA", "on");
-        } else {
-            std::env::remove_var("DCN_DELTA");
-        }
-        let out = f();
-        std::env::remove_var("DCN_DELTA");
-        out
-    };
-    let run = || {
-        let sweep = failure_sweep(
-            &topo,
-            &[0.0, 0.1, 0.2],
-            3,
-            MatchingBackend::Exact,
-            13,
-            &nocache_ctx(&Budget::unlimited()),
-        )
+    let ctx = unlimited_ctx();
+    let (fractions, trials, seed) = ([0.0, 0.1, 0.2], 3u32, 13u64);
+
+    let sweep = failure_sweep(&topo, &fractions, trials, MatchingBackend::Exact, seed, &ctx)
         .unwrap();
-        let curve: Vec<(u64, Option<u64>, u32)> = sweep
-            .iter()
-            .map(|p| (p.nominal.to_bits(), p.actual.map(f64::to_bits), p.trials))
-            .collect();
-        let search =
-            adversarial_search(&topo, 10, 6, 0.1, 5, &nocache_ctx(&Budget::unlimited())).unwrap();
-        (
-            curve,
-            (
-                search.theta.to_bits(),
-                search.theta_start.to_bits(),
-                search.improvements,
-            ),
-        )
-    };
-    let off = with_delta(false, &run);
-    let on = with_delta(true, &run);
-    assert_eq!(off, on, "DCN_DELTA=on diverged from off");
+    let theta0 = tub(&topo, MatchingBackend::Exact, &ctx).unwrap().bound.min(1.0);
+    let mut i = 0u64;
+    for (p, &f) in sweep.iter().zip(&fractions) {
+        let mut cold = Vec::new();
+        for _ in 0..trials {
+            let mut rng = StdRng::seed_from_u64(task_seed(seed, i));
+            i += 1;
+            if let Ok(degraded) = fail_random_links(&topo, f, &mut rng) {
+                cold.push(tub(&degraded, MatchingBackend::Exact, &ctx).unwrap().bound.min(1.0));
+            }
+        }
+        let actual = (!cold.is_empty()).then(|| cold.iter().sum::<f64>() / cold.len() as f64);
+        assert_eq!(p.nominal.to_bits(), ((1.0 - f) * theta0).to_bits(), "nominal at f={f}");
+        assert_eq!(p.actual.map(f64::to_bits), actual.map(f64::to_bits), "actual at f={f}");
+        assert_eq!(p.trials as usize, cold.len(), "trials at f={f}");
+    }
+
+    let (k, eps) = (6, 0.1);
+    let search = adversarial_search(&topo, 10, k, eps, 5, &ctx).unwrap();
+    let maximal = tub(&topo, MatchingBackend::Auto { exact_below: 500 }, &ctx)
+        .unwrap()
+        .traffic_matrix(&topo)
+        .unwrap();
+    let cold_start = ksp_mcf_throughput(&topo, &maximal, k, Engine::Fptas { eps }, &ctx).unwrap();
+    let cold_end = ksp_mcf_throughput(&topo, &search.tm, k, Engine::Fptas { eps }, &ctx).unwrap();
+    assert_eq!(search.theta_start.to_bits(), cold_start.theta_lb.to_bits());
+    assert_eq!(search.theta.to_bits(), cold_end.theta_lb.to_bits());
 }
